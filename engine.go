@@ -261,6 +261,25 @@ func (e *Engine) plan(q *graph.Query) (*host.Plan, error) {
 	return ent.plan, nil
 }
 
+// cachedPlan returns q's plan if the cache already holds a finished one, and
+// nil otherwise. It neither plans nor touches the LRU order or the hit and
+// miss counters: it lets a caller that needs the same plan — a
+// subscription over the same snapshot — share its CST instead of building
+// a second copy.
+func (e *Engine) cachedPlan(q *graph.Query) *host.Plan {
+	e.mu.Lock()
+	el, ok := e.plans[fingerprint(q)]
+	e.mu.Unlock()
+	if !ok {
+		return nil
+	}
+	ent := el.Value.(*planEntry)
+	if !ent.ready.Load() || ent.err != nil {
+		return nil
+	}
+	return ent.plan
+}
+
 // MatchBatch runs every query concurrently with no cancellation or per-call
 // bounds — MatchBatchContext with context.Background().
 func (e *Engine) MatchBatch(qs []*graph.Query) ([]*Result, error) {

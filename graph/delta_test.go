@@ -247,7 +247,11 @@ func TestDeltaValidateCatchesCorruption(t *testing.T) {
 	}
 
 	g = fresh()
-	g.lidx.runStarts[0]++ // break a label-index run start
+	v := 0
+	for g.Degree(VertexID(v)) == 0 {
+		v++
+	}
+	g.lidx.nbrs[g.offsets[v]] = VertexID(v) // list v as its own label-index neighbour
 	if err := g.Validate(); err == nil {
 		t.Errorf("corrupt label index: Validate = nil, want error")
 	}

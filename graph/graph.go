@@ -32,7 +32,7 @@ type Graph struct {
 	// edgeLabels, when non-nil, is aligned with neighbors: the label of
 	// half-edge v→neighbors[i] is edgeLabels[i] (see edgelabel.go).
 	edgeLabels []EdgeLabel
-	// lidx groups every vertex's adjacency into label runs (labelindex.go)
+	// lidx groups every vertex's adjacency by label (labelindex.go)
 	// so per-label neighbourhood probes are subslice reads, not filter
 	// scans. Built once by every constructor.
 	lidx *labelIndex
@@ -121,8 +121,8 @@ func (g *Graph) NeighborsWithLabel(v VertexID, l Label, dst []VertexID) []Vertex
 	return append(dst, g.lidx.nbrs[lo:hi]...)
 }
 
-// DegreeWithLabel counts neighbours of v labelled l — one run-length read
-// against the label index. Used by the neighbourhood-label-frequency (NLF)
+// DegreeWithLabel counts neighbours of v labelled l — the length of its run
+// in the label index. Used by the neighbourhood-label-frequency (NLF)
 // candidate filter.
 func (g *Graph) DegreeWithLabel(v VertexID, l Label) int {
 	lo, hi := g.labelRun(v, l)

@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -250,7 +252,32 @@ func WriteBinary(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// ReadBinary parses the binary format written by WriteBinary.
+// readChunk bounds how far ReadBinary allocates ahead of the bytes that
+// back the allocation: arrays are read chunk by chunk, so a header that
+// declares more elements than the stream holds fails at end of input
+// having allocated about twice the bytes actually read, never the size it
+// declared.
+const readChunk = 1 << 16
+
+// readSlice reads n little-endian values, growing the result one chunk at
+// a time as the data arrives.
+func readSlice[T Label | VertexID | int64](r io.Reader, n int) ([]T, error) {
+	out := make([]T, 0, min(n, readChunk))
+	for len(out) < n {
+		k := min(readChunk, n-len(out))
+		out = slices.Grow(out, k)[:len(out)+k]
+		if err := binary.Read(r, binary.LittleEndian, out[len(out)-k:]); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// ReadBinary parses the binary format written by WriteBinary. The header's
+// counts are checked against the format's ranges (vertex ids are 32-bit,
+// labels 16-bit) before anything is allocated, and the arrays are read in
+// bounded chunks, so a short body that declares a huge graph is rejected
+// without allocating what it declares.
 func ReadBinary(r io.Reader) (*Graph, error) {
 	magic := make([]byte, 4)
 	if _, err := io.ReadFull(r, magic); err != nil {
@@ -265,25 +292,24 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 			return nil, err
 		}
 	}
+	if hdr[0] > math.MaxUint32 || hdr[1] > math.MaxInt/8 || hdr[2] > math.MaxUint16+1 {
+		return nil, fmt.Errorf("graph io: corrupt binary graph: header counts (%d vertices, %d half-edges, %d labels) out of range",
+			hdr[0], hdr[1], hdr[2])
+	}
 	n, nn, numLabels := int(hdr[0]), int(hdr[1]), int(hdr[2])
-	g := &Graph{
-		labels:    make([]Label, n),
-		offsets:   make([]int64, n+1),
-		neighbors: make([]VertexID, nn),
-		numLabels: numLabels,
-	}
-	if err := binary.Read(r, binary.LittleEndian, &g.labels); err != nil {
+	g := &Graph{numLabels: numLabels}
+	var err error
+	if g.labels, err = readSlice[Label](r, n); err != nil {
 		return nil, err
 	}
-	if err := binary.Read(r, binary.LittleEndian, &g.offsets); err != nil {
+	if g.offsets, err = readSlice[int64](r, n+1); err != nil {
 		return nil, err
 	}
-	if err := binary.Read(r, binary.LittleEndian, &g.neighbors); err != nil {
+	if g.neighbors, err = readSlice[VertexID](r, nn); err != nil {
 		return nil, err
 	}
 	if string(magic) == binMagic2 {
-		g.edgeLabels = make([]EdgeLabel, nn)
-		if err := binary.Read(r, binary.LittleEndian, &g.edgeLabels); err != nil {
+		if g.edgeLabels, err = readSlice[EdgeLabel](r, nn); err != nil {
 			return nil, err
 		}
 	}

@@ -2,7 +2,9 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -148,5 +150,44 @@ func TestStats(t *testing.T) {
 	}
 	if sum != 100 {
 		t.Errorf("label histogram covers %d vertices", sum)
+	}
+}
+
+// TestReadBinaryHugeHeaderShortBody: a short body whose header declares a
+// huge graph must be rejected without allocating what it declares. The
+// first case is the 28-byte FGB1 upload (magic plus a header claiming 2^36
+// vertices) that used to make ReadBinary allocate 2^36 labels up front.
+func TestReadBinaryHugeHeaderShortBody(t *testing.T) {
+	body := func(magic string, hdr ...uint64) []byte {
+		var buf bytes.Buffer
+		buf.WriteString(magic)
+		for _, x := range hdr {
+			binary.Write(&buf, binary.LittleEndian, x)
+		}
+		return buf.Bytes()
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"2^36 vertices", body("FGB1", 1<<36, 0, 1)},
+		{"2^31 vertices, no arrays", body("FGB1", 1<<31, 0, 1)},
+		{"2^40 half-edges", body("FGB2", 4, 1<<40, 1)},
+		{"2^40 labels", body("FGB1", 4, 0, 1<<40)},
+		{"2^63 vertices", body("FGB1", 1<<63, 0, 1)},
+	} {
+		if tc.name == "2^36 vertices" && len(tc.data) != 28 {
+			t.Fatalf("regression body is %d bytes, want 28", len(tc.data))
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadBinary(bytes.NewReader(tc.data))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: accepted a %d-byte body", tc.name, len(tc.data))
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
+			t.Errorf("%s: allocated %d bytes for a %d-byte body", tc.name, alloc, len(tc.data))
+		}
 	}
 }

@@ -3,7 +3,6 @@ package graph
 import (
 	"errors"
 	"slices"
-	"sort"
 )
 
 var (
@@ -11,56 +10,55 @@ var (
 	errLabelIndexShape   = errors.New("graph: label index inconsistent with CSR adjacency")
 )
 
-// labelIndex is a secondary CSR over the adjacency in which every vertex's
-// neighbours are grouped into runs by neighbour label (runs ordered by
-// label, ids ascending within a run). It makes NeighborsWithLabel a
-// zero-copy subslice and DegreeWithLabel a run-length read — the probes the
-// CST construction passes (label filtering, NLF, per-label intersection)
+// labelIndex is a secondary copy of the adjacency in which every vertex's
+// neighbours are ordered by (label, id): each label's neighbours form one
+// contiguous run, ids ascending. It makes NeighborsWithLabel a zero-copy
+// subslice and DegreeWithLabel two binary searches — the probes the CST
+// construction passes (label filtering, NLF, per-label intersection)
 // perform once per candidate, on the host's critical path while the
 // (modelled) FPGA idles.
 //
-// nbrs has the same per-vertex extents as Graph.neighbors, so run ends are
-// derived from the primary offsets: the last run of v ends at offsets[v+1].
+// nbrs has the same per-vertex extents as Graph.neighbors, and a run's
+// bounds are found by binary search on labels, the neighbours' labels laid
+// out alongside nbrs, so the index stores no per-run metadata: two bytes per
+// half-edge beyond its copy of the adjacency (plus the aligned half-edge
+// labels on edge-labeled graphs).
 type labelIndex struct {
-	nbrs []VertexID // len(neighbors); per-vertex, grouped by (label, id)
+	nbrs   []VertexID // len(neighbors); per-vertex, ordered by (label, id)
+	labels []Label    // labels[p] is the label of nbrs[p]
 	// elabels is aligned with nbrs when the graph is edge-labeled, so the
 	// label-restricted view carries half-edge labels too; nil otherwise.
-	elabels   []EdgeLabel
-	runOff    []int64 // len n+1: label runs of v are indices [runOff[v], runOff[v+1]); int64 like the primary offsets (total runs is bounded by half-edges, which exceed int32)
-	runLabels []Label // label of each run, ascending within a vertex
-	runStarts []int64 // absolute start of each run in nbrs
+	elabels []EdgeLabel
+}
+
+func newLabelIndex(halfEdges int) *labelIndex {
+	return &labelIndex{nbrs: make([]VertexID, halfEdges), labels: make([]Label, halfEdges)}
 }
 
 // buildLabelIndex constructs the index; every Graph constructor calls it
-// once the primary CSR and labels are final. Cost is O(|E| + runs) via a
-// per-label counting pass (scratch is generation-free: only touched labels
+// once the primary CSR and labels are final. Cost is O(|E|) via a per-label
+// counting pass per vertex (scratch is generation-free: only touched labels
 // are reset).
 func (g *Graph) buildLabelIndex() {
 	n := g.NumVertices()
-	idx := &labelIndex{
-		nbrs:   make([]VertexID, len(g.neighbors)),
-		runOff: make([]int64, n+1),
-	}
+	idx := newLabelIndex(len(g.neighbors))
 	if g.edgeLabels != nil {
 		idx.elabels = make([]EdgeLabel, len(g.neighbors))
 	}
 	cnt := make([]int64, g.numLabels) // per-label cursor/count for one vertex
 	var touched []Label
-	place := make([]int64, g.numLabels)
 	for v := 0; v < n; v++ {
-		touched = idx.appendVertexRuns(g, v, cnt, place, touched)
-		idx.runOff[v+1] = int64(len(idx.runLabels))
+		touched = idx.groupVertex(g, v, cnt, touched)
 	}
 	g.lidx = idx
 }
 
-// appendVertexRuns groups v's adjacency in g into label runs: run metadata
-// is appended to runLabels/runStarts, the grouped neighbours (and half-edge
-// labels) are written into nbrs/elabels at v's primary CSR extent. cnt and
-// place are zeroed numLabels-sized scratch, left zeroed on return; touched
-// is reusable scratch, returned for the next call. Shared by the full build
-// above and the incremental per-delta maintenance below.
-func (idx *labelIndex) appendVertexRuns(g *Graph, v int, cnt, place []int64, touched []Label) []Label {
+// groupVertex writes v's adjacency in g into nbrs (and the half-edge labels
+// into elabels) at v's primary CSR extent, ordered by (label, id). cnt is
+// zeroed numLabels-sized scratch, left zeroed on return; touched is reusable
+// scratch, returned for the next call. Shared by the full build above and
+// the incremental per-delta maintenance below.
+func (idx *labelIndex) groupVertex(g *Graph, v int, cnt []int64, touched []Label) []Label {
 	adj := g.Neighbors(VertexID(v))
 	touched = touched[:0]
 	for _, w := range adj {
@@ -70,24 +68,22 @@ func (idx *labelIndex) appendVertexRuns(g *Graph, v int, cnt, place []int64, tou
 		}
 		cnt[l]++
 	}
+	// Turn the counts into each label's write cursor, labels ascending.
 	slices.Sort(touched)
 	base := g.offsets[v]
 	for _, l := range touched {
-		idx.runLabels = append(idx.runLabels, l)
-		idx.runStarts = append(idx.runStarts, base)
-		place[l] = base
-		base += cnt[l]
+		base, cnt[l] = base+cnt[l], base
 	}
 	// Second pass walks adj in ascending-id order, so ids stay sorted
 	// within each label run.
 	for i, w := range adj {
 		l := g.labels[w]
-		p := place[l]
-		idx.nbrs[p] = w
+		p := cnt[l]
+		idx.nbrs[p], idx.labels[p] = w, l
 		if idx.elabels != nil {
 			idx.elabels[p] = g.edgeLabels[g.offsets[v]+int64(i)]
 		}
-		place[l] = p + 1
+		cnt[l] = p + 1
 	}
 	for _, l := range touched {
 		cnt[l] = 0
@@ -97,62 +93,60 @@ func (idx *labelIndex) appendVertexRuns(g *Graph, v int, cnt, place []int64, tou
 
 // updateLabelIndexFrom maintains g2's label index incrementally from the
 // pre-delta graph g: a clean vertex (adjacency untouched by the batch) has
-// its run metadata copied with the starts shifted by its CSR offset delta
-// and its grouped span copied verbatim; only dirty vertices are re-grouped.
-// The index is never rebuilt from scratch — per-batch cost is O(|E| copied)
+// its grouped span copied verbatim; only dirty vertices are re-grouped. The
+// index is never rebuilt from scratch — per-batch cost is O(|E| copied)
 // plus the counting pass over dirty adjacency only. Vertex labels are
 // immutable and an edge delete dirties both endpoints, so a clean vertex's
-// runs are valid in the new epoch by construction.
+// grouping is valid in the new epoch by construction.
 func (g2 *Graph) updateLabelIndexFrom(g *Graph, dirty map[VertexID]bool) {
 	n := g2.NumVertices()
 	old := g.lidx
-	idx := &labelIndex{
-		nbrs:      make([]VertexID, len(g2.neighbors)),
-		runOff:    make([]int64, n+1),
-		runLabels: make([]Label, 0, len(old.runLabels)+2*len(dirty)),
-		runStarts: make([]int64, 0, len(old.runStarts)+2*len(dirty)),
-	}
+	idx := newLabelIndex(len(g2.neighbors))
 	if g2.edgeLabels != nil {
 		idx.elabels = make([]EdgeLabel, len(g2.neighbors))
 	}
 	cnt := make([]int64, g2.numLabels)
-	place := make([]int64, g2.numLabels)
 	var touched []Label
 	for v := 0; v < n; v++ {
 		if dirty[VertexID(v)] {
-			touched = idx.appendVertexRuns(g2, v, cnt, place, touched)
-		} else {
-			shift := g2.offsets[v] - g.offsets[v]
-			rs, re := old.runOff[v], old.runOff[v+1]
-			idx.runLabels = append(idx.runLabels, old.runLabels[rs:re]...)
-			for k := rs; k < re; k++ {
-				idx.runStarts = append(idx.runStarts, old.runStarts[k]+shift)
-			}
-			copy(idx.nbrs[g2.offsets[v]:g2.offsets[v+1]], old.nbrs[g.offsets[v]:g.offsets[v+1]])
-			if idx.elabels != nil {
-				copy(idx.elabels[g2.offsets[v]:g2.offsets[v+1]], old.elabels[g.offsets[v]:g.offsets[v+1]])
-			}
+			touched = idx.groupVertex(g2, v, cnt, touched)
+			continue
 		}
-		idx.runOff[v+1] = int64(len(idx.runLabels))
+		copy(idx.nbrs[g2.offsets[v]:g2.offsets[v+1]], old.nbrs[g.offsets[v]:g.offsets[v+1]])
+		copy(idx.labels[g2.offsets[v]:g2.offsets[v+1]], old.labels[g.offsets[v]:g.offsets[v+1]])
+		if idx.elabels != nil {
+			copy(idx.elabels[g2.offsets[v]:g2.offsets[v+1]], old.elabels[g.offsets[v]:g.offsets[v+1]])
+		}
 	}
 	g2.lidx = idx
 }
 
 // labelRun returns the [lo, hi) extent in lidx.nbrs holding v's neighbours
-// labelled l; lo == hi when v has none.
+// labelled l; lo == hi when v has none: two binary searches over the labels
+// of v's grouped span.
 func (g *Graph) labelRun(v VertexID, l Label) (int64, int64) {
-	idx := g.lidx
-	rs, re := int(idx.runOff[v]), int(idx.runOff[v+1])
-	labels := idx.runLabels[rs:re]
-	k := sort.Search(len(labels), func(k int) bool { return labels[k] >= l })
-	if k == len(labels) || labels[k] != l {
-		return 0, 0
+	labels := g.lidx.labels
+	lo, end := g.offsets[v], g.offsets[v+1]
+	for n := end - lo; n > 0; {
+		half := n >> 1
+		if labels[lo+half] < l {
+			lo += half + 1
+			n -= half + 1
+		} else {
+			n = half
+		}
 	}
-	lo := idx.runStarts[rs+k]
-	if rs+k+1 < re {
-		return lo, idx.runStarts[rs+k+1]
+	hi := lo
+	for n := end - hi; n > 0; {
+		half := n >> 1
+		if labels[hi+half] <= l {
+			hi += half + 1
+			n -= half + 1
+		} else {
+			n = half
+		}
 	}
-	return lo, g.offsets[v+1]
+	return lo, hi
 }
 
 // NeighborsWithLabelAndEdgeLabels returns v's neighbours labelled l together
@@ -169,46 +163,31 @@ func (g *Graph) NeighborsWithLabelAndEdgeLabels(v VertexID, l Label) ([]VertexID
 	return g.lidx.nbrs[lo:hi:hi], g.lidx.elabels[lo:hi:hi]
 }
 
-// validateLabelIndex checks the label index against the primary CSR: same
-// multiset of neighbours per vertex, runs label-ascending, ids ascending
-// within runs, edge labels carried over. Graph.Validate calls it.
+// validateLabelIndex checks the label index against the primary CSR: each
+// vertex's grouped span is strictly ascending by (label, id) and holds only
+// its neighbours, as many as its degree — so the same set as its primary
+// adjacency — with their labels alongside. Graph.Validate calls it.
 func (g *Graph) validateLabelIndex() error {
 	idx := g.lidx
 	if idx == nil {
 		return errMissingLabelIndex
 	}
 	n := g.NumVertices()
-	if len(idx.nbrs) != len(g.neighbors) || len(idx.runOff) != n+1 {
+	if len(idx.nbrs) != len(g.neighbors) || len(idx.labels) != len(g.neighbors) {
 		return errLabelIndexShape
 	}
 	for v := 0; v < n; v++ {
-		rs, re := int(idx.runOff[v]), int(idx.runOff[v+1])
-		total := int64(0)
-		for k := rs; k < re; k++ {
-			if k > rs && idx.runLabels[k-1] >= idx.runLabels[k] {
+		for p := g.offsets[v]; p < g.offsets[v+1]; p++ {
+			w := idx.nbrs[p]
+			if int(w) >= n || !g.HasEdge(VertexID(v), w) || idx.labels[p] != g.labels[w] {
 				return errLabelIndexShape
 			}
-			lo := idx.runStarts[k]
-			hi := g.offsets[v+1]
-			if k+1 < re {
-				hi = idx.runStarts[k+1]
-			}
-			if lo < g.offsets[v] || hi < lo || hi > g.offsets[v+1] {
-				return errLabelIndexShape
-			}
-			for p := lo; p < hi; p++ {
-				w := idx.nbrs[p]
-				if g.labels[w] != idx.runLabels[k] || !g.HasEdge(VertexID(v), w) {
-					return errLabelIndexShape
-				}
-				if p > lo && idx.nbrs[p-1] >= w {
+			if p > g.offsets[v] {
+				prev := idx.nbrs[p-1]
+				if g.labels[prev] > g.labels[w] || (g.labels[prev] == g.labels[w] && prev >= w) {
 					return errLabelIndexShape
 				}
 			}
-			total += hi - lo
-		}
-		if total != g.offsets[v+1]-g.offsets[v] {
-			return errLabelIndexShape
 		}
 	}
 	return nil

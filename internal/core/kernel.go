@@ -98,8 +98,6 @@ type Result struct {
 	// BufferHighWater is the maximum partial-result count resident at any
 	// point; the deepest-first strategy bounds it by (|V(q)|−1)·No.
 	BufferHighWater int
-	// PerModule breaks Cycles down by module name.
-	PerModule map[string]int64
 }
 
 // Options configures a kernel run.
@@ -187,12 +185,11 @@ func Run(c *cst.CST, o order.Order, opts Options) (Result, error) {
 	}
 
 	run := &runState{
-		c:       c,
-		o:       o,
-		opts:    opts,
-		pos:     o.PositionOf(),
-		counter: fpgasim.NewCounter(),
-		timing:  newTiming(opts.Variant, cfg, c.MaxCandDegree()),
+		c:      c,
+		o:      o,
+		opts:   opts,
+		pos:    o.PositionOf(),
+		timing: newTiming(opts.Variant, cfg, c.MaxCandDegree()),
 	}
 	run.prepare()
 	res := run.execute()
@@ -241,7 +238,7 @@ type runState struct {
 	// mapBase[d] is where level d's mapping arena begins in scratch.maps;
 	// slot i of level d is maps[mapBase[d]+i*d : mapBase[d]+(i+1)*d].
 	mapBase []int
-	counter *fpgasim.Counter
+	counter fpgasim.Counter
 	timing  *timing
 
 	count     int64
@@ -439,7 +436,7 @@ func (r *runState) execute() Result {
 	var loadCycles int64
 	if r.opts.Variant != VariantDRAM {
 		loadCycles = cfg.LoadCycles(r.c.SizeBytes())
-		r.counter.Add("load", loadCycles)
+		r.counter.Add(loadCycles)
 	}
 
 	for {
@@ -460,7 +457,7 @@ func (r *runState) execute() Result {
 	// Flush complete results from BRAM to card DRAM (4 bytes per mapped
 	// vertex id).
 	flushCycles := cfg.LoadCycles(r.count * int64(len(r.o)) * 4)
-	r.counter.Add("flush", flushCycles)
+	r.counter.Add(flushCycles)
 
 	res := Result{
 		Count:           r.count,
@@ -474,7 +471,6 @@ func (r *runState) execute() Result {
 		Pops:            r.pops,
 		Stopped:         r.stopped,
 		BufferHighWater: r.highWater,
-		PerModule:       r.counter.PerModule(),
 	}
 	res.Duration = cfg.CyclesToDuration(res.Cycles)
 	return res
@@ -658,7 +654,7 @@ func (r *runState) round(d int) {
 	r.partials += nPo
 	r.edgeTasks += nTn
 	r.pops += pops
-	r.timing.chargeRound(r.counter, pops, nPo, nTn, len(checkList))
+	r.timing.chargeRound(&r.counter, pops, nPo, nTn, len(checkList))
 
 	if hw := r.resident(); hw > r.highWater {
 		r.highWater = hw

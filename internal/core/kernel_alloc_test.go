@@ -26,7 +26,7 @@ func allocPlan(t *testing.T, queryName string) (*cst.CST, order.Order) {
 
 // TestKernelRunAllocsO1PerRound is the allocation regression gate for the
 // arena refactor: with a warmed Scratch, a whole kernel run may allocate
-// only its fixed per-run bookkeeping (runState, hoists, cycle counter —
+// only its fixed per-run bookkeeping (runState, hoists —
 // O(|V(q)|) small objects), never per partial result and never per round
 // beyond that fixed set. Before the arena, this run allocated one mapping
 // slice per partial (thousands per run); the bound below fails loudly if

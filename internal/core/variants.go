@@ -53,7 +53,8 @@ func newTiming(v Variant, cfg fpgasim.Config, maxCandDeg int) *timing {
 	}
 }
 
-// chargeRound adds one round's cycles to the counter. knn is the number of
+// chargeRound adds one round's cycles, composed under the variant's
+// pipeline (serial or task-parallel modules), to the counter. knn is the number of
 // non-tree neighbours checked for the current vertex: the tn-generation
 // outer loop (Algorithm 5 lines 10–12) cannot be pipelined across
 // neighbours, so it restarts its fill depth knn times.
@@ -94,19 +95,5 @@ func (t *timing) chargeRound(counter *fpgasim.Counter, r, n, m int64, knn int) {
 	}
 	total += t.over
 
-	// Attribute the round to the dominant module for the breakdown, and
-	// keep exact totals under the variant's composition.
-	counter.Add("rounds", t.over)
-	counter.Add(t.read.Name, read)
-	counter.Add(t.gen.Name, gen)
-	counter.Add(t.visited.Name, vis)
-	counter.Add(t.collect.Name, col)
-	counter.Add(t.tnGen.Name, tng)
-	counter.Add(t.edge.Name, edg)
-	// The counter now over-counts relative to the concurrent composition;
-	// subtract the overlap so Total matches the variant equation.
-	overlap := fpgasim.Serial(read, gen, vis, col, tng, edg) + t.over - total
-	if overlap > 0 {
-		counter.Add("(overlap)", -overlap)
-	}
+	counter.Add(total)
 }

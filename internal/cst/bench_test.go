@@ -70,6 +70,39 @@ func BenchmarkPartition(b *testing.B) {
 	}
 }
 
+// BenchmarkPartitionReplay compares Algorithm 2 run cold with the replay of
+// its recorded pieces: each piece rebuilt from the root CST in one Project
+// step from its KeptFrom description. The thresholds are a 32 KiB card's;
+// q7 splits into the most pieces, the case where replay has the least
+// restrict work to save per piece.
+func BenchmarkPartitionReplay(b *testing.B) {
+	for _, name := range []string{"q1", "q5", "q7"} {
+		c, o, _ := benchInput(b, name, 200)
+		cfg := PartitionConfig{MaxSizeBytes: 32 << 10, MaxCandDegree: 512}
+		var keeps []Keep
+		Partition(c, o, cfg, func(p *CST) { keeps = append(keeps, KeptFrom(c, p)) })
+		b.Run(name+"/cold", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if n := Partition(c, o, cfg, func(*CST) {}); n != len(keeps) {
+					b.Fatalf("%d pieces, recorded %d", n, len(keeps))
+				}
+			}
+		})
+		b.Run(name+"/replay", func(b *testing.B) {
+			b.ReportAllocs()
+			var pj Projector
+			for i := 0; i < b.N; i++ {
+				for _, keep := range keeps {
+					if pj.Project(c, keep, nil) == nil {
+						b.Fatal("nil piece")
+					}
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkPartitionConcurrent measures the ordered concurrent producer at
 // a small pool size — the host.Match configuration.
 func BenchmarkPartitionConcurrent(b *testing.B) {

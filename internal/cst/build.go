@@ -118,6 +118,20 @@ func BuildWorkers(q *graph.Query, g *graph.Graph, t *order.Tree, workers int) *C
 	// from C(u) as well is equivalent and keeps the CST smaller.
 	topDown()
 
+	// Candidate sets are final: pack them into one exact arena, so the
+	// filter passes' shrinkage does not stay alive as slack for the CST's
+	// lifetime (a cached plan holds it for as long as it serves).
+	total := 0
+	for _, cands := range c.Cand {
+		total += len(cands)
+	}
+	arena := make([]graph.VertexID, 0, total)
+	for u, cands := range c.Cand {
+		lo := len(arena)
+		arena = append(arena, cands...)
+		c.Cand[u] = arena[lo:len(arena):len(arena)]
+	}
+
 	// Build adjacency lists for tree edges and (lines 15-19) non-tree
 	// candidate neighbours, both directions, into the CST's flat CSR arenas.
 	// Candidate counts are final here, so the offsets arena is exact.
@@ -202,7 +216,7 @@ func parallelKeep(vs []graph.VertexID, workers int, keep func(graph.VertexID) bo
 // neighbour counts (the NLF filter used by CFL/DAF/CECI). The NLF map is
 // hoisted into a sorted slice once per query vertex so the per-candidate
 // loop performs no map iteration, and each per-label degree is one
-// label-index run-length read.
+// label-index run lookup.
 func localCandidates(q *graph.Query, g *graph.Graph, u graph.QueryVertex) []graph.VertexID {
 	type labelNeed struct {
 		l    graph.Label

@@ -10,6 +10,7 @@ package cst
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"fastmatch/graph"
@@ -90,7 +91,7 @@ type CST struct {
 
 	// Size and degree statistics are queried on every partition decision,
 	// so they are computed eagerly when construction finishes (Build,
-	// restrict and the test fixtures all call recomputeStats or fold the
+	// materialise and the test fixtures all call recomputeStats or fold the
 	// stats in while assembling); a CST is immutable once built.
 	sizeBytes int64
 	maxDeg    int
@@ -324,7 +325,7 @@ type pendingAdj struct {
 // buffer. finish copies the targets into an exactly-sized arena, installs
 // the per-edge views, and folds the partition statistics into the CST —
 // so a built CST performs O(1) allocations for all of its adjacency, and
-// restrict can reuse the grow buffer across pieces via restrictScratch.
+// materialise can reuse the grow buffer across pieces via restrictScratch.
 type adjAssembler struct {
 	off    []int32
 	tgt    []CandIndex
@@ -351,6 +352,22 @@ func (asm *adjAssembler) begin(nSrc int) []int32 {
 	off := asm.off[asm.offCur : asm.offCur+nSrc+1]
 	off[0] = 0
 	return off
+}
+
+// appendKept appends one row's neighbours to the open edge, keeping only
+// those keep marks and renumbering them by rank (rank[i] counts the kept
+// candidates before bitmap word i); a nil keep appends the row verbatim.
+func (asm *adjAssembler) appendKept(nbrs []CandIndex, keep []uint64, rank []int32) {
+	if keep == nil {
+		asm.tgt = append(asm.tgt, nbrs...)
+		return
+	}
+	for _, j := range nbrs {
+		word, bit := keep[j>>6], uint64(1)<<(uint(j)&63)
+		if word&bit != 0 {
+			asm.tgt = append(asm.tgt, rank[j>>6]+CandIndex(bits.OnesCount64(word&(bit-1))))
+		}
+	}
 }
 
 // commit closes the edge opened by the last begin, recording its extents

@@ -14,7 +14,9 @@ import (
 // PartitionConfig (zero, negative, or absurdly tiny budgets, and fixed-k
 // overrides): whatever the thresholds, partitioning must terminate and the
 // per-piece counts must union to exactly the unpartitioned count, for the
-// sequential producer and both concurrent modes.
+// sequential producer and both concurrent modes. Every sequential piece is
+// also replayed from its KeptFrom description through Project, and the
+// replayed counts must equal the cold ones piece by piece.
 //
 // corpus selects the subject: 0 is the paper's Fig. 1 running example, 1 is
 // LDBC q1 over a small generated social network (the two seeds below), and
@@ -74,10 +76,25 @@ func FuzzPartitionCounts(f *testing.F) {
 		w := int(workers%4) + 1
 
 		want := Count(c, o)
-		var seqSum int64
-		seqN := Partition(c, o, cfg, func(p *CST) { seqSum += Enumerate(p, o, nil) })
+		var (
+			seqSum int64
+			counts []int64
+			keeps  []Keep
+		)
+		seqN := Partition(c, o, cfg, func(p *CST) {
+			n := Enumerate(p, o, nil)
+			seqSum += n
+			counts = append(counts, n)
+			keeps = append(keeps, KeptFrom(c, p))
+		})
 		if seqSum != want {
 			t.Fatalf("Partition: piece counts union to %d, want %d (cfg=%+v)", seqSum, want, cfg)
+		}
+		var pj Projector
+		for i, keep := range keeps {
+			if n := Enumerate(pj.Project(c, keep, nil), o, nil); n != counts[i] {
+				t.Fatalf("replayed piece %d counts %d, cold %d (cfg=%+v)", i, n, counts[i], cfg)
+			}
 		}
 
 		var unordSum atomic.Int64

@@ -1,6 +1,8 @@
 package cst
 
 import (
+	"math/bits"
+
 	"fastmatch/graph"
 	"fastmatch/internal/mathutil"
 	"fastmatch/internal/order"
@@ -159,19 +161,21 @@ func evenChunk(n, k, i int) [2]int {
 	return [2]int{lo, hi}
 }
 
-// restrictScratch holds restrict's per-call working state so that repeated
-// restrict steps — the sequential recursion, and every worker of the
-// concurrent producers — reuse buffers instead of allocating them per piece.
-// Only bookkeeping lives here; everything that escapes into the produced
-// CST is freshly allocated. A scratch is single-goroutine state: the
-// sequential partitioner owns one, and each concurrent pool worker owns one.
+// restrictScratch holds the per-call working state of restrict and
+// materialise so that repeated steps — the sequential recursion, every
+// worker of the concurrent producers, and a Projector replaying recorded
+// pieces — reuse buffers instead of allocating them per piece. Only
+// bookkeeping lives here; everything that escapes into the produced CST is
+// freshly allocated. A scratch is single-goroutine state: the sequential
+// partitioner owns one, each concurrent pool worker owns one, and each
+// Projector embeds one.
 type restrictScratch struct {
-	inSub    []bool
-	changed  []bool
-	kept     [][]bool      // per vertex in u's subtree: which candidate indices survive
-	keptList [][]CandIndex // kept indices, discovery order
-	remap    [][]CandIndex // old index -> new index or -1
-	tgtBuf   []CandIndex   // adjAssembler grow buffer, recycled across pieces
+	inSub  []bool
+	kept   [][]uint64 // restrict: per vertex in u's subtree, bitmap of surviving candidate indices
+	nKept  []int      // restrict: set bits in kept
+	keep   [][]uint64 // restrict's kept sets as handed to materialise: nil where all survive
+	rank   [][]int32  // materialise: per changed vertex, kept candidates before each bitmap word
+	tgtBuf []CandIndex
 
 	// cancel is the owning partitioner's PartitionConfig.Cancel, threaded
 	// into restrict itself so a single huge restrict step observes
@@ -198,30 +202,32 @@ func (sc *restrictScratch) polled() bool {
 	return sc.cancel()
 }
 
-// grow sizes the scratch for an n-vertex query and clears the per-vertex
-// flags; the inner buffers are cleared lazily where they are (re)used.
+// grow sizes the scratch for an n-vertex query and clears the subtree
+// flags; the per-vertex buffers are cleared lazily where they are (re)used.
 func (sc *restrictScratch) grow(n int) {
 	if cap(sc.inSub) < n {
 		sc.inSub = make([]bool, n)
-		sc.changed = make([]bool, n)
-		sc.kept = make([][]bool, n)
-		sc.keptList = make([][]CandIndex, n)
-		sc.remap = make([][]CandIndex, n)
+		sc.kept = make([][]uint64, n)
+		sc.nKept = make([]int, n)
+		sc.keep = make([][]uint64, n)
+		sc.rank = make([][]int32, n)
 	}
 	sc.inSub = sc.inSub[:n]
-	sc.changed = sc.changed[:n]
 	sc.kept = sc.kept[:n]
-	sc.keptList = sc.keptList[:n]
-	sc.remap = sc.remap[:n]
+	sc.nKept = sc.nKept[:n]
+	sc.keep = sc.keep[:n]
+	sc.rank = sc.rank[:n]
 	clear(sc.inSub)
-	clear(sc.changed)
 }
 
-// clearedBools returns b resized to n with all entries false, reusing its
-// capacity when possible.
-func clearedBools(b []bool, n int) []bool {
+// bitWords returns the number of 64-bit words in a bitmap over n items.
+func bitWords(n int) int { return (n + 63) >> 6 }
+
+// clearedWords returns b resized to n words, all zero, reusing its capacity
+// when possible.
+func clearedWords(b []uint64, n int) []uint64 {
 	if cap(b) < n {
-		return make([]bool, n)
+		return make([]uint64, n)
 	}
 	b = b[:n]
 	clear(b)
@@ -232,8 +238,9 @@ func clearedBools(b []bool, n int) []bool {
 // chunk. Vertices preceding u in the order keep all candidates (lines 7-8 of
 // Algorithm 2); vertices in u's tree subtree keep only candidates that can
 // reach the chunk through tree edges (lines 9-12) — every other vertex
-// trivially reaches the chunk through the unrestricted prefix. Adjacency
-// lists are rebuilt against the kept candidates (line 13).
+// trivially reaches the chunk through the unrestricted prefix. restrict only
+// computes these kept sets; materialise rebuilds the adjacency lists against
+// them (line 13).
 //
 // restrict polls sc's amortised cancel hook inside its reachability and
 // rebuild loops and returns nil once it fires, so a cancelled partitioner's
@@ -250,20 +257,20 @@ func restrict(cur *CST, u graph.QueryVertex, chunk [2]int, sc *restrictScratch) 
 	// candidate set).
 	inSub := sc.inSub
 	markSubtree(t, u, inSub)
-	kept, keptList := sc.kept, sc.keptList
+	kept := sc.kept
 	for w := 0; w < n; w++ {
+		sc.keep[w] = nil
 		if inSub[w] {
-			kept[w] = clearedBools(kept[w], len(cur.Cand[w]))
-			keptList[w] = keptList[w][:0]
+			kept[w] = clearedWords(kept[w], bitWords(len(cur.Cand[w])))
 		}
 	}
 	for i := chunk[0]; i < chunk[1]; i++ {
 		if sc.polled() {
 			return nil
 		}
-		kept[u][i] = true
-		keptList[u] = append(keptList[u], CandIndex(i))
+		kept[u][i>>6] |= 1 << (uint(i) & 63)
 	}
+	sc.nKept[u] = chunk[1] - chunk[0]
 	// Top-down reachability through tree edges inside u's subtree. Only
 	// the kept parent candidates are walked, so a piece costs work
 	// proportional to its own size rather than the whole CST — this is
@@ -274,62 +281,93 @@ func restrict(cur *CST, u graph.QueryVertex, chunk [2]int, sc *restrictScratch) 
 		}
 		wp := t.Parent[w] // wp is in the subtree too (only u's parent is outside)
 		adj := cur.Edge(wp, w)
-		kw, lw := kept[w], keptList[w]
-		for _, pi := range keptList[wp] {
-			if sc.polled() {
-				return nil
-			}
-			for _, ci := range adj.Neighbors(pi) {
-				if !kw[ci] {
-					kw[ci] = true
-					lw = append(lw, ci)
+		kw, nw := kept[w], 0
+		for wi, word := range kept[wp] {
+			for word != 0 {
+				if sc.polled() {
+					return nil
+				}
+				pi := CandIndex(wi<<6 + bits.TrailingZeros64(word))
+				word &= word - 1
+				for _, ci := range adj.Neighbors(pi) {
+					if bit := uint64(1) << (uint(ci) & 63); kw[ci>>6]&bit == 0 {
+						kw[ci>>6] |= bit
+						nw++
+					}
 				}
 			}
 		}
-		keptList[w] = lw
+		sc.nKept[w] = nw
 	}
+	for w := 0; w < n; w++ {
+		if inSub[w] && sc.nKept[w] != len(cur.Cand[w]) {
+			sc.keep[w] = kept[w]
+		}
+	}
+	return materialise(cur, sc.keep, sc)
+}
 
-	// Materialise the restricted CST: remap candidate indices, then filter
-	// every adjacency list through the remap. Vertices outside u's subtree
-	// keep their candidate sets verbatim, so any adjacency list between
-	// two unchanged vertices is shared with the parent CST rather than
-	// copied (its views alias the parent's arenas) — CSTs are immutable
-	// after construction, and this turns the recursive partitioning of a
-	// large CST from quadratic copying into work proportional to the
-	// restricted subtrees only. Everything the piece owns lands in per-piece
-	// arenas — one candidate arena, one offsets arena, one targets arena —
-	// so a restrict step performs O(1) allocations regardless of how many
-	// vertices changed; the targets grow buffer is recycled through sc.
-	part := newCST(cur.Query, t)
-	changed, remap := sc.changed, sc.remap
+// materialise builds the CST induced on from by keep: keep[w] is a bitmap
+// over from's candidate indices of w, or nil when w keeps all of C(w). It is
+// the single builder of induced CSTs — restrict's pieces and Projector's
+// replayed pieces both come out of it. Candidate order is preserved, so the
+// CST induced on an induced CST is the CST induced on the original, field
+// for field; that is what lets a recorded piece be rebuilt from the root in
+// one step instead of replaying Algorithm 2's chain of restricts.
+//
+// Vertices that keep everything share their candidate sets with from, and
+// any adjacency list between two such vertices is shared rather than copied
+// (its views alias from's arenas) — CSTs are immutable after construction,
+// and this turns the recursive partitioning of a large CST from quadratic
+// copying into work proportional to the changed vertices only. Only the
+// kept rows of a changed source vertex are visited, and a kept neighbour's
+// new index is its bitmap word's rank plus a popcount within the word, so
+// the work per piece follows its kept candidates, not its source's
+// candidate count. Everything the piece owns lands in
+// per-piece arenas — one candidate arena, one offsets arena, one targets
+// arena — so materialise performs O(1) allocations regardless of how many
+// vertices changed; the targets grow buffer is recycled through sc.
+//
+// Like restrict, materialise polls sc's cancel hook per row and returns nil
+// once it fires.
+func materialise(from *CST, keep [][]uint64, sc *restrictScratch) *CST {
+	n := from.Query.NumVertices()
+	part := newCST(from.Query, from.Tree)
 	totalKept := 0
 	for w := 0; w < n; w++ {
-		// keptList holds distinct indices, so full length means all kept.
-		if inSub[w] && len(keptList[w]) != len(cur.Cand[w]) {
-			changed[w] = true
-			totalKept += len(keptList[w])
-		}
-	}
-	candArena := make([]graph.VertexID, 0, totalKept)
-	for w := 0; w < n; w++ {
-		if !changed[w] {
-			part.Cand[w] = cur.Cand[w]
+		b := keep[w]
+		if b == nil {
 			continue
 		}
-		if cap(remap[w]) < len(cur.Cand[w]) {
-			remap[w] = make([]CandIndex, len(cur.Cand[w]))
+		r := sc.rank[w]
+		if cap(r) < len(b)+1 {
+			r = make([]int32, len(b)+1)
 		}
-		remap[w] = remap[w][:len(cur.Cand[w])]
-		lo := len(candArena)
-		for i, v := range cur.Cand[w] {
+		r = r[:len(b)+1]
+		r[0] = 0
+		for i, word := range b {
 			if sc.polled() {
 				return nil
 			}
-			if kept[w][i] {
-				remap[w][i] = CandIndex(len(candArena) - lo)
-				candArena = append(candArena, v)
-			} else {
-				remap[w][i] = -1
+			r[i+1] = r[i] + int32(bits.OnesCount64(word))
+		}
+		sc.rank[w] = r
+		totalKept += int(r[len(b)])
+	}
+	candArena := make([]graph.VertexID, 0, totalKept)
+	for w := 0; w < n; w++ {
+		if keep[w] == nil {
+			part.Cand[w] = from.Cand[w]
+			continue
+		}
+		lo := len(candArena)
+		for wi, word := range keep[w] {
+			for word != 0 {
+				if sc.polled() {
+					return nil
+				}
+				candArena = append(candArena, from.Cand[w][wi<<6+bits.TrailingZeros64(word)])
+				word &= word - 1
 			}
 		}
 		part.Cand[w] = candArena[lo:len(candArena):len(candArena)]
@@ -340,57 +378,58 @@ func restrict(cur *CST, u graph.QueryVertex, chunk [2]int, sc *restrictScratch) 
 
 	// Adjacency: share untouched edges (folding their size and cached
 	// longest-list into the piece's partition stats in O(1)), rebuild the
-	// rest through the remap into the piece's own arenas.
+	// rest into the piece's own arenas.
 	offTotal, rebuilt := 0, 0
-	for from := 0; from < n; from++ {
-		for to := 0; to < n; to++ {
-			a := cur.edgeRef(from, to)
+	for f := 0; f < n; f++ {
+		for t := 0; t < n; t++ {
+			a := from.edgeRef(f, t)
 			if !a.Valid() {
 				continue
 			}
-			if !changed[from] && !changed[to] {
-				part.setAdj(from, to, *a) // share: both endpoints untouched
+			if keep[f] == nil && keep[t] == nil {
+				part.setAdj(f, t, *a) // share: both endpoints untouched
 				part.sizeBytes += int64(len(a.Offsets))*4 + int64(len(a.Targets))*4
 				if int(a.maxDeg) > part.maxDeg {
 					part.maxDeg = int(a.maxDeg)
 				}
 				continue
 			}
-			offTotal += len(part.Cand[from]) + 1
+			offTotal += len(part.Cand[f]) + 1
 			rebuilt++
 		}
 	}
 	asm := newAdjAssembler(offTotal, sc.tgtBuf, rebuilt)
-	for from := 0; from < n; from++ {
-		for to := 0; to < n; to++ {
-			a := cur.edgeRef(from, to)
-			if !a.Valid() || (!changed[from] && !changed[to]) {
+	for f := 0; f < n; f++ {
+		for t := 0; t < n; t++ {
+			a := from.Edge(f, t)
+			if !a.Valid() || (keep[f] == nil && keep[t] == nil) {
 				continue
 			}
-			off := asm.begin(len(part.Cand[from]))
+			off := asm.begin(len(part.Cand[f]))
 			tgtLo := len(asm.tgt)
-			for i := range cur.Cand[from] {
-				if sc.polled() {
-					return nil
-				}
-				ni := CandIndex(i)
-				if changed[from] {
-					ni = remap[from][i]
-					if ni < 0 {
-						continue
+			kt, rt := keep[t], sc.rank[t]
+			if kf := keep[f]; kf == nil {
+				for i := range from.Cand[f] {
+					if sc.polled() {
+						return nil
 					}
+					asm.appendKept(a.Neighbors(CandIndex(i)), kt, rt)
+					off[i+1] = int32(len(asm.tgt) - tgtLo)
 				}
-				for _, j := range a.Neighbors(CandIndex(i)) {
-					nj := j
-					if changed[to] {
-						nj = remap[to][j]
-						if nj < 0 {
-							continue
+			} else {
+				ni := 0
+				for wi, word := range kf {
+					for word != 0 {
+						if sc.polled() {
+							return nil
 						}
+						i := CandIndex(wi<<6 + bits.TrailingZeros64(word))
+						word &= word - 1
+						asm.appendKept(a.Neighbors(i), kt, rt)
+						ni++
+						off[ni] = int32(len(asm.tgt) - tgtLo)
 					}
-					asm.tgt = append(asm.tgt, nj)
 				}
-				off[ni+1] = int32(len(asm.tgt) - tgtLo)
 			}
 			var maxDeg int32
 			for r := 0; r+1 < len(off); r++ {
@@ -398,7 +437,7 @@ func restrict(cur *CST, u graph.QueryVertex, chunk [2]int, sc *restrictScratch) 
 					maxDeg = d
 				}
 			}
-			asm.commit(from, to, len(part.Cand[from]), tgtLo, maxDeg)
+			asm.commit(f, t, len(part.Cand[f]), tgtLo, maxDeg)
 		}
 	}
 	sc.tgtBuf = asm.finish(part)

@@ -279,3 +279,73 @@ func TestPartitionConcurrentStolenUnionStaysExact(t *testing.T) {
 		}
 	}
 }
+
+// sameCST reports the first field in which got differs from want: candidate
+// sets, every edge's CSR offsets and targets, and the partition statistics.
+func sameCST(got, want *CST) error {
+	n := len(want.Cand)
+	if len(got.Cand) != n {
+		return fmt.Errorf("%d candidate sets, want %d", len(got.Cand), n)
+	}
+	for u := 0; u < n; u++ {
+		if fmt.Sprint(got.Cand[u]) != fmt.Sprint(want.Cand[u]) {
+			return fmt.Errorf("C(%d) = %v, want %v", u, got.Cand[u], want.Cand[u])
+		}
+	}
+	for from := 0; from < n; from++ {
+		for to := 0; to < n; to++ {
+			g, w := got.Edge(from, to), want.Edge(from, to)
+			if fmt.Sprint(g.Offsets) != fmt.Sprint(w.Offsets) || fmt.Sprint(g.Targets) != fmt.Sprint(w.Targets) {
+				return fmt.Errorf("edge %d→%d: (%v, %v), want (%v, %v)", from, to, g.Offsets, g.Targets, w.Offsets, w.Targets)
+			}
+		}
+	}
+	if got.SizeBytes() != want.SizeBytes() || got.MaxCandDegree() != want.MaxCandDegree() {
+		return fmt.Errorf("stats (%d, %d), want (%d, %d)", got.SizeBytes(), got.MaxCandDegree(), want.SizeBytes(), want.MaxCandDegree())
+	}
+	return nil
+}
+
+// TestProjectReproducesPieces: every piece the producers emit — and every
+// piece offered to Steal — is rebuilt field for field by one Project step
+// from the root and the piece's KeptFrom description, and the rebuilt piece
+// passes Validate. This is the property the host's recorded piece schedules
+// rest on: replay never walks Algorithm 2's chain of restricts again.
+func TestProjectReproducesPieces(t *testing.T) {
+	var pj Projector
+	check := func(pc propCase, label string, pieces []*CST) {
+		t.Helper()
+		for i, p := range pieces {
+			got := pj.Project(pc.c, KeptFrom(pc.c, p), nil)
+			if err := sameCST(got, p); err != nil {
+				t.Fatalf("seed %d %s: piece %d: projection differs: %v", pc.seed, label, i, err)
+			}
+			if err := got.Validate(pc.g); err != nil {
+				t.Fatalf("seed %d %s: piece %d: projection invalid: %v", pc.seed, label, i, err)
+			}
+		}
+	}
+	for seed := int64(0); seed < 110; seed++ {
+		pc := randomPropCase(seed)
+		var seq, ordered, offered []*CST
+		Partition(pc.c, pc.o, pc.cfg, func(p *CST) { seq = append(seq, p) })
+		check(pc, "Partition", seq)
+		PartitionConcurrent(pc.c, pc.o, pc.cfg, ConcurrentOptions{Workers: 3, Ordered: true},
+			func(p *CST) { ordered = append(ordered, p) })
+		check(pc, "PartitionConcurrent(ordered)", ordered)
+
+		cfg := pc.cfg
+		cfg.Steal = func(p *CST) bool {
+			offered = append(offered, p)
+			return len(offered)%3 == 0
+		}
+		Partition(pc.c, pc.o, cfg, func(*CST) {})
+		check(pc, "Steal offers", offered)
+
+		// The root describes itself as a nil Keep and projects to itself,
+		// without a copy.
+		if KeptFrom(pc.c, pc.c) != nil || pj.Project(pc.c, nil, nil) != pc.c {
+			t.Fatalf("seed %d: the root does not round-trip as a nil Keep", seed)
+		}
+	}
+}

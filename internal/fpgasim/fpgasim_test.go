@@ -164,16 +164,12 @@ func TestFIFOOrderProperty(t *testing.T) {
 }
 
 func TestCounter(t *testing.T) {
-	c := NewCounter()
-	c.Add("gen", 10)
-	c.Add("edge", 5)
-	c.Add("gen", 1)
+	var c Counter
+	c.Add(10)
+	c.Add(5)
+	c.Add(1)
 	if c.Total() != 16 {
 		t.Errorf("Total = %d", c.Total())
-	}
-	pm := c.PerModule()
-	if pm["gen"] != 11 || pm["edge"] != 5 {
-		t.Errorf("PerModule = %v", pm)
 	}
 }
 

@@ -12,6 +12,13 @@
 // recursion) also runs on a bounded task pool, in ordered mode, so neither
 // side of the overlap serialises the other.
 //
+// Phases 2 and 3 have one producer for both pipelines (schedule.go). On a
+// cached Plan the first complete Match records the producer's output — the
+// ordered pieces, each as the root candidates it keeps, with its δ route —
+// and warm calls under the same δ and thresholds replay that schedule,
+// rebuilding each piece from the root CST in one projection instead of
+// partitioning again.
+//
 // Execution is context-first: Match and Prepare take a context.Context, and
 // every layer that loops observes it — the partition producer between
 // restrict steps, the kernel between batch rounds, the δ-share drain per
@@ -81,7 +88,8 @@ type Config struct {
 	ExplicitOrder order.Order
 	// Partition overrides the partition thresholds; zero values derive
 	// δS from the device's BRAM budget minus the results buffer, and δD
-	// from PortMax.
+	// from PortMax. Only the thresholds (MaxSizeBytes, MaxCandDegree,
+	// FixedK) are read: Match installs its own Steal and Cancel hooks.
 	Partition cst.PartitionConfig
 	// Collect materialises embeddings in the report.
 	Collect bool
@@ -164,19 +172,6 @@ func (c Config) withDefaults(q *graph.Query) Config {
 	return c
 }
 
-// runPartition dispatches Algorithm 2 under the configured producer mode:
-// the sequential recursion, or the ordered concurrent producer when
-// PartitionWorkers asks for it. Ordered mode keeps every delivery on the
-// calling goroutine in sequential order, so both pipelines' δ routing stays
-// deterministic no matter how many producer workers run.
-func (c Config) runPartition(root *cst.CST, o order.Order, process func(*cst.CST)) int {
-	if c.PartitionWorkers > 1 {
-		return cst.PartitionConcurrent(root, o, c.Partition,
-			cst.ConcurrentOptions{Workers: c.PartitionWorkers, Ordered: true}, process)
-	}
-	return cst.Partition(root, o, c.Partition, process)
-}
-
 // kernelScratch pools core.Scratch values across kernel runs — and across
 // Match calls, since the pool is package-level — so steady-state serving
 // performs no per-run arena allocation: each kernel execution borrows the
@@ -217,14 +212,22 @@ func runKernel(p *cst.CST, o order.Order, opts core.Options, faults *faultinject
 }
 
 // Plan is the output of Phase 1: everything Match derives from (q, g)
-// before partitioning starts. A Plan is immutable after Prepare and safe to
-// share between concurrent Match calls — the CST is read-only during
-// matching, which is what makes the plan cache sound.
+// before partitioning starts. A Plan is safe to share between concurrent
+// Match calls — the CST is read-only during matching, which is what makes
+// the plan cache sound. Its exported fields never change after Prepare; the
+// one thing a Plan learns later is its piece schedule: the first complete
+// Match passed the Plan records Algorithm 2+3's output on it (published
+// atomically, first run wins), and later calls with the same δ and
+// thresholds replay it instead of partitioning again. A new Plan — from
+// Prepare, PrepareSeeded on a new epoch, or a plan-cache refill — starts
+// with no schedule, so nothing ever needs invalidating.
 type Plan struct {
 	Root  graph.QueryVertex
 	Tree  *order.Tree
 	Order order.Order
 	CST   *cst.CST
+
+	schedule atomic.Pointer[pieceSchedule]
 }
 
 // Prepare runs Phase 1 (root selection, BFS tree, CST construction —
@@ -383,6 +386,7 @@ func Match(ctx context.Context, q *graph.Query, g *graph.Graph, cfg Config) (Rep
 	// cache hit, which reduces this phase to nothing.
 	buildStart := time.Now()
 	plan := cfg.Plan
+	cached := plan != nil
 	if plan == nil {
 		var err error
 		plan, err = Prepare(ctx, q, g, cfg)
@@ -394,9 +398,8 @@ func Match(ctx context.Context, q *graph.Query, g *graph.Graph, cfg Config) (Rep
 			return Report{}, err
 		}
 	}
-	c, o := plan.CST, plan.Order
 	rep.BuildTime = time.Since(buildStart)
-	if c.IsEmpty() {
+	if plan.CST.IsEmpty() {
 		rep.Total = rep.BuildTime
 		return rep, nil
 	}
@@ -422,11 +425,12 @@ func Match(ctx context.Context, q *graph.Query, g *graph.Graph, cfg Config) (Rep
 	// recovered panic or an exhausted retry budget — keeps the partial
 	// Report (the completion accounting below still applies to the work
 	// done); any other error keeps the original discard semantics.
+	pr := newProducer(cfg, plan, cached)
 	var err error
 	if cfg.Workers > 1 {
-		err = matchParallel(cfg, ct, &rep, c, o, devices, transfer)
+		err = matchParallel(cfg, ct, &rep, pr, devices, transfer)
 	} else {
-		err = matchSequential(cfg, ct, &rep, c, o, devices, transfer)
+		err = matchSequential(cfg, ct, &rep, pr, devices, transfer)
 	}
 	ct.fstats.fold(&rep)
 	if err != nil && !isFaultError(err) {
@@ -451,143 +455,107 @@ func Match(ctx context.Context, q *graph.Query, g *graph.Graph, cfg Config) (Rep
 	if err != nil {
 		return rep, err
 	}
+	if !rep.Partial {
+		pr.publish()
+	}
 	return rep, ct.err()
 }
 
 // matchSequential is the original streaming pipeline: partitions are
-// processed inline as the partitioner emits them, and the CPU share runs
-// after partitioning finishes.
-func matchSequential(cfg Config, ct *runControl, rep *Report, c *cst.CST, o order.Order, devices []*fpgasim.Device, transfer []time.Duration) error {
-	// Phase 2+3: partition (Algorithm 2) and schedule (Algorithm 3).
-	// Partitions stream out of the partitioner; each is either cached for
-	// the CPU or offloaded immediately to the least-loaded card.
+// processed inline as the producer emits them, and the CPU share runs after
+// partitioning finishes.
+func matchSequential(cfg Config, ct *runControl, rep *Report, pr *producer, devices []*fpgasim.Device, transfer []time.Duration) error {
 	var (
 		cpuQueue []*cst.CST
 		kernErr  error
 	)
-	sched := scheduler{delta: cfg.Delta}
+	o := pr.plan.Order
 	// Cancellation hooks are installed only for calls that can actually
 	// cancel, limit or stream — a plain Match keeps the pre-context paths.
 	kopts := core.Options{Variant: cfg.Variant, Config: cfg.Device, Collect: cfg.Collect}
 	if ct.active() {
-		cfg.Partition.Cancel = ct.cancelled
 		kopts.Cancel = ct.cancelled
 		kopts.Take = ct.take
 	}
 	if ct.emit != nil {
 		kopts.Emit = func(e graph.Embedding) { ct.send(e) }
 	}
-	// FAST-SHARE's partitioning shortcut (Section VII-B): a CST that still
-	// violates the BRAM/port thresholds may go straight to the CPU —
-	// which has no such constraints — instead of being split further,
-	// saving the recursive partitioning cost. The δ budget gates it.
-	if cfg.Delta > 0 {
-		cfg.Partition.Steal = func(p *cst.CST) bool {
-			if !sched.tryCPU(cst.EstimateWorkload(p)) {
-				return false
-			}
+	stop := func() bool { return kernErr != nil || ct.cancelled() }
+	// Phases 2+3: each piece is either cached for the CPU or offloaded
+	// immediately to the least-loaded card.
+	perr := pr.run(rep, stop, func(p *cst.CST, toCPU bool) {
+		if toCPU {
 			cpuQueue = append(cpuQueue, p)
-			rep.CPUPartitions++
-			rep.CSTBytes += p.SizeBytes()
-			return true
+			return
 		}
-	}
-	lastResume := time.Now()
-	// The producer runs under the run's recover barrier: Algorithm 2 itself
-	// and the inline offload callback are covered, and a partition-pool
-	// worker panic rethrown by the ordered drain surfaces here as a
-	// *cst.WorkerPanic (converted keeping the worker's stack).
-	perr := func() (perr error) {
-		defer func() {
-			if r := recover(); r != nil {
-				perr = newPanicError("partition", r)
-			}
-		}()
-		rep.NumPartitions = cfg.runPartition(c, o, func(p *cst.CST) {
-			rep.PartitionTime += time.Since(lastResume)
-			defer func() { lastResume = time.Now() }()
-			if kernErr != nil || ct.cancelled() {
+		// Offload to the healthy card with the least accumulated work. A
+		// card dying under us redistributes the partition to the next card;
+		// losing the last card degrades it to the CPU enumeration path —
+		// identical counts, just slower.
+		for {
+			if ct.cancelled() {
 				return
 			}
-			w := cst.EstimateWorkload(p)
-			rep.CSTBytes += p.SizeBytes()
-			if sched.assignToCPU(w) {
+			best := pickDevice(devices, transfer)
+			if best < 0 {
 				cpuQueue = append(cpuQueue, p)
-				rep.CPUPartitions++
+				ct.fstats.redistributed.Add(1)
 				return
 			}
-			// Offload to the healthy card with the least accumulated work.
-			// A card dying under us redistributes the partition to the next
-			// card; losing the last card degrades it to the CPU enumeration
-			// path — identical counts, just slower.
-			for {
-				if ct.cancelled() {
-					return
-				}
-				best := pickDevice(devices, transfer)
-				if best < 0 {
-					cpuQueue = append(cpuQueue, p)
-					ct.fstats.redistributed.Add(1)
-					return
-				}
-				dev := devices[best]
-				dur, err := stageWithRetry(ct, dev, p.SizeBytes())
-				if errors.Is(err, fpgasim.ErrDeviceFailed) {
-					// The death moment — the card was healthy when picked.
-					ct.fstats.deviceDeaths.Add(1)
-					continue
-				}
-				if err == errRetryCancelled {
-					return
-				}
-				if err != nil {
-					kernErr = err
-					return
-				}
-				transfer[best] += dur
-				// A shared Pool bounds kernel work across Match calls; the
-				// sequential pipeline holds one token per kernel run so a
-				// Workers<=1 engine behind a multi-tenant front end draws
-				// from the same budget as the fanned-out ones instead of
-				// adding load beside it. Without a Pool this is the
-				// original path, untouched.
-				if cfg.Pool != nil && !ct.acquirePool(cfg.Pool) {
-					return // cancelled while queued behind other tenants
-				}
-				res, err := runKernelWithRetry(ct, p, o, kopts)
-				if cfg.Pool != nil {
-					<-cfg.Pool
-				}
-				if err == errRetryCancelled {
-					return
-				}
-				if err != nil {
-					kernErr = err
-					return
-				}
-				if res.Stopped && ct.abortive() {
-					dev.AbortKernel(res.Cycles)
-				} else {
-					dev.RunKernel(res.Cycles)
-				}
-				dev.ReleaseDRAM(p.SizeBytes())
-				rep.Embeddings += res.Count
-				rep.KernelCycles += res.Cycles
-				rep.KernelPartials += res.Partials
-				rep.KernelEdgeTasks += res.EdgeTasks
-				rep.KernelRounds += res.Rounds
-				if res.BufferHighWater > rep.MaxBufferUse {
-					rep.MaxBufferUse = res.BufferHighWater
-				}
-				if cfg.Collect {
-					rep.Collected = append(rep.Collected, res.Embeddings...)
-				}
+			dev := devices[best]
+			dur, err := stageWithRetry(ct, dev, p.SizeBytes())
+			if errors.Is(err, fpgasim.ErrDeviceFailed) {
+				// The death moment — the card was healthy when picked.
+				ct.fstats.deviceDeaths.Add(1)
+				continue
+			}
+			if err == errRetryCancelled {
 				return
 			}
-		})
-		return nil
-	}()
-	rep.PartitionTime += time.Since(lastResume)
+			if err != nil {
+				kernErr = err
+				return
+			}
+			transfer[best] += dur
+			// A shared Pool bounds kernel work across Match calls; the
+			// sequential pipeline holds one token per kernel run so a
+			// Workers<=1 engine behind a multi-tenant front end draws from
+			// the same budget as the fanned-out ones instead of adding load
+			// beside it. Without a Pool this is the original path, untouched.
+			if cfg.Pool != nil && !ct.acquirePool(cfg.Pool) {
+				return // cancelled while queued behind other tenants
+			}
+			res, err := runKernelWithRetry(ct, p, o, kopts)
+			if cfg.Pool != nil {
+				<-cfg.Pool
+			}
+			if err == errRetryCancelled {
+				return
+			}
+			if err != nil {
+				kernErr = err
+				return
+			}
+			if res.Stopped && ct.abortive() {
+				dev.AbortKernel(res.Cycles)
+			} else {
+				dev.RunKernel(res.Cycles)
+			}
+			dev.ReleaseDRAM(p.SizeBytes())
+			rep.Embeddings += res.Count
+			rep.KernelCycles += res.Cycles
+			rep.KernelPartials += res.Partials
+			rep.KernelEdgeTasks += res.EdgeTasks
+			rep.KernelRounds += res.Rounds
+			if res.BufferHighWater > rep.MaxBufferUse {
+				rep.MaxBufferUse = res.BufferHighWater
+			}
+			if cfg.Collect {
+				rep.Collected = append(rep.Collected, res.Embeddings...)
+			}
+			return
+		}
+	})
 	if kernErr != nil {
 		return kernErr
 	}
@@ -613,7 +581,6 @@ func matchSequential(cfg Config, ct *runControl, rep *Report, c *cst.CST, o orde
 		}
 	}
 	rep.CPUShareTime = time.Since(cpuStart)
-	rep.CPUWorkload, rep.FPGAWorkload = sched.wc, sched.wf
 	return enumErr
 }
 
@@ -640,7 +607,8 @@ var errStageCancelled = errors.New("host: staging abandoned: run cancelled")
 // goroutine and see partitions in the exact order the sequential pipeline
 // does, so the δ split, partition counts and embedding totals are identical
 // to matchSequential's.
-func matchParallel(cfg Config, ct *runControl, rep *Report, c *cst.CST, o order.Order, devices []*fpgasim.Device, transfer []time.Duration) error {
+func matchParallel(cfg Config, ct *runControl, rep *Report, pr *producer, devices []*fpgasim.Device, transfer []time.Duration) error {
+	o := pr.plan.Order
 	var (
 		devMu   sync.Mutex
 		stop    atomic.Bool
@@ -867,59 +835,20 @@ func matchParallel(cfg Config, ct *runControl, rep *Report, c *cst.CST, o order.
 		}
 	}()
 
-	// Producer: Algorithms 2 and 3 on the caller's goroutine.
-	// PartitionTime accounts only the partitioner's own work — the resume
-	// points bracket every channel send so backpressure waits (which
-	// overlap kernel execution and are already counted in FPGATime /
-	// CPUShareTime) are not double-counted into Total, keeping the report
-	// comparable with the sequential pipeline's.
-	lastResume := time.Now()
-	send := func(ch chan *cst.CST, p *cst.CST) {
-		rep.PartitionTime += time.Since(lastResume)
-		ch <- p
-		lastResume = time.Now()
-	}
-	sched := scheduler{delta: cfg.Delta}
-	if ct.active() {
-		// Stop producing once the run is cancelled; the concurrent producer
-		// also abandons its speculation and drains its task pool.
-		cfg.Partition.Cancel = halted
-	}
-	if cfg.Delta > 0 {
-		cfg.Partition.Steal = func(p *cst.CST) bool {
-			if !sched.tryCPU(cst.EstimateWorkload(p)) {
-				return false
-			}
-			rep.CPUPartitions++
-			rep.CSTBytes += p.SizeBytes()
-			send(cpuCh, p)
-			return true
+	// Producer: Algorithms 2 and 3 (or their recorded schedule) on the
+	// caller's goroutine. PartitionTime excludes the channel sends, so
+	// backpressure waits (which overlap kernel execution and are already
+	// counted in FPGATime / CPUShareTime) are not double-counted into Total,
+	// keeping the report comparable with the sequential pipeline's. Once the
+	// run halts the producer stops; the concurrent partitioner also abandons
+	// its speculation and drains its task pool.
+	perr := pr.run(rep, halted, func(p *cst.CST, toCPU bool) {
+		if toCPU {
+			cpuCh <- p
+		} else {
+			fpgaCh <- p
 		}
-	}
-	// The producer runs under the run's recover barrier: a panic anywhere
-	// in Algorithm 2 — including a partition-pool worker panic rethrown by
-	// the ordered drain as a *cst.WorkerPanic — is converted to a typed
-	// error here, before the channels close, so the consumers always drain
-	// and the WaitGroups always resolve.
-	perr := func() (perr error) {
-		defer func() {
-			if r := recover(); r != nil {
-				perr = newPanicError("partition", r)
-			}
-		}()
-		rep.NumPartitions = cfg.runPartition(c, o, func(p *cst.CST) {
-			w := cst.EstimateWorkload(p)
-			rep.CSTBytes += p.SizeBytes()
-			if sched.assignToCPU(w) {
-				rep.CPUPartitions++
-				send(cpuCh, p)
-				return
-			}
-			send(fpgaCh, p)
-		})
-		return nil
-	}()
-	rep.PartitionTime += time.Since(lastResume)
+	})
 	if perr != nil {
 		fail(perr)
 	}
@@ -950,37 +879,5 @@ func matchParallel(cfg Config, ct *runControl, rep *Report, c *cst.CST, o order.
 	if cfg.Collect {
 		rep.Collected = append(rep.Collected, cpuCollected...)
 	}
-	rep.CPUWorkload, rep.FPGAWorkload = sched.wc, sched.wf
 	return nil
-}
-
-// scheduler is Algorithm 3's running-total state.
-type scheduler struct {
-	delta  float64
-	wc, wf float64
-}
-
-// assignToCPU implements the δ test for a finished partition: the CST goes
-// to the CPU only while the CPU's share (including it) stays below δ of the
-// total; otherwise its workload is committed to the FPGA side.
-func (s *scheduler) assignToCPU(w float64) bool {
-	if s.tryCPU(w) {
-		return true
-	}
-	s.wf += w
-	return false
-}
-
-// tryCPU is the non-committing δ test used for the partitioning shortcut:
-// a rejected CST will be split further and its pieces accounted when they
-// are scheduled, so nothing is added to W_F here.
-func (s *scheduler) tryCPU(w float64) bool {
-	if s.delta <= 0 {
-		return false
-	}
-	if s.wc+w < s.delta*(s.wc+s.wf+w) {
-		s.wc += w
-		return true
-	}
-	return false
 }

@@ -99,12 +99,26 @@ func (r *Router) Subscribe(ctx context.Context, graphName string, q *graph.Query
 	}
 	g := st.g
 
-	root := order.SelectRoot(q, g)
-	tree := order.BuildBFSTree(q, root)
-	c := cst.BuildWorkers(q, g, tree, r.workers)
-	o := order.PathBased(tree, c)
-	if err := o.Validate(tree); err != nil {
-		return nil, fmt.Errorf("fast: Router.Subscribe %q: %v", graphName, err)
+	// The snapshot's engine usually has q planned already: share that
+	// plan's CST rather than hold a second copy of it. Any valid order over
+	// the tree yields the same affected-region diff.
+	var (
+		tree *order.Tree
+		o    order.Order
+		c    *cst.CST
+	)
+	if eng := st.eng.Load(); eng != nil {
+		if p := eng.cachedPlan(q); p != nil {
+			tree, o, c = p.Tree, p.Order, p.CST
+		}
+	}
+	if c == nil {
+		tree = order.BuildBFSTree(q, order.SelectRoot(q, g))
+		c = cst.BuildWorkers(q, g, tree, r.workers)
+		o = order.PathBased(tree, c)
+		if err := o.Validate(tree); err != nil {
+			return nil, fmt.Errorf("fast: Router.Subscribe %q: %v", graphName, err)
+		}
 	}
 
 	s := &Subscription{
