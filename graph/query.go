@@ -25,12 +25,26 @@ func errNoSuchEdge(name string, u, v QueryVertex) error {
 	return fmt.Errorf("query %q: no edge (%d,%d)", name, u, v)
 }
 
+// MaxQueryVertices bounds |V(q)|. Subgraph queries are small (the paper's
+// largest has 7 vertices), while matching state grows quadratically with
+// them: every CST keeps a dense |V(q)|×|V(q)| adjacency table, so a
+// 40,000-vertex path query would ask for about 90 GB before any data is
+// touched. 64 also keeps a set of query vertices within one machine word,
+// which the failing-set baseline relies on.
+const MaxQueryVertices = 64
+
 // NewQuery creates a query with the given vertex labels and edges.
-// It validates simplicity and connectivity.
+// It validates size, simplicity and connectivity.
 func NewQuery(name string, labels []Label, edges [][2]QueryVertex) (*Query, error) {
 	n := len(labels)
 	if n == 0 {
 		return nil, fmt.Errorf("query %q: no vertices", name)
+	}
+	if n > MaxQueryVertices {
+		return nil, fmt.Errorf("query %q: %d vertices, more than the %d supported", name, n, MaxQueryVertices)
+	}
+	if maxEdges := n * (n - 1) / 2; len(edges) > maxEdges {
+		return nil, fmt.Errorf("query %q: %d edges, but a simple graph on %d vertices has at most %d", name, len(edges), n, maxEdges)
 	}
 	q := &Query{
 		labels: append([]Label(nil), labels...),

@@ -47,6 +47,38 @@ func TestQueryValidation(t *testing.T) {
 	if _, err := NewQuery("range", []Label{0, 1}, [][2]QueryVertex{{0, 5}}); err == nil {
 		t.Error("accepted out-of-range edge")
 	}
+	// An edge list longer than a simple graph allows is refused before
+	// anything is sized from its length.
+	if _, err := NewQuery("dense", []Label{0, 1, 2}, [][2]QueryVertex{{0, 1}, {1, 2}, {0, 2}, {2, 0}}); err == nil || !strings.Contains(err.Error(), "at most 3") {
+		t.Errorf("4 edges on 3 vertices: err = %v, want the edge-count bound", err)
+	}
+}
+
+// pathQueryShape returns the labels and edges of an n-vertex path.
+func pathQueryShape(n int) ([]Label, [][2]QueryVertex) {
+	labels := make([]Label, n)
+	edges := make([][2]QueryVertex, n-1)
+	for i := range edges {
+		edges[i] = [2]QueryVertex{i, i + 1}
+	}
+	return labels, edges
+}
+
+// TestQuerySizeBound: a query up to MaxQueryVertices is accepted; one
+// vertex more, and the 40,000-vertex path that once made the CST's dense
+// adjacency table ask for about 90 GB, are rejected.
+func TestQuerySizeBound(t *testing.T) {
+	labels, edges := pathQueryShape(MaxQueryVertices)
+	if _, err := NewQuery("max", labels, edges); err != nil {
+		t.Fatalf("%d-vertex path rejected: %v", MaxQueryVertices, err)
+	}
+	for _, n := range []int{MaxQueryVertices + 1, 40000} {
+		labels, edges := pathQueryShape(n)
+		_, err := NewQuery("big", labels, edges)
+		if err == nil || !strings.Contains(err.Error(), "vertices, more than") {
+			t.Errorf("%d-vertex path: err = %v, want the size bound", n, err)
+		}
+	}
 }
 
 func TestVerifyEmbedding(t *testing.T) {

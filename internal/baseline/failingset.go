@@ -47,8 +47,8 @@ func DAFFS(q *graph.Query, g *graph.Graph, opts Options) (Result, error) {
 	dl := newDeadline(opts)
 	timedOut := false
 
-	// vset is a bitset over query vertices (n ≤ 64 always holds for
-	// subgraph queries).
+	// vset is a bitset over query vertices (graph.NewQuery caps n at
+	// graph.MaxQueryVertices = 64).
 	type vset uint64
 	full := vset(0)
 	for u := 0; u < n; u++ {

@@ -28,10 +28,11 @@ const parallelBuildMin = 1024
 // partition arrives), so every pass leans on the graph's label index:
 // candidate filtering scans only same-label vertices, the reachability
 // passes probe only same-label neighbourhood runs, and adjacency
-// construction intersects label-restricted runs instead of whole adjacency
-// lists. The result is identical to Build's for any worker count — each
-// pass marks serially, probes in order-preserving chunks, and the barrier
-// between passes keeps the level order of Algorithm 1.
+// construction looks label-restricted runs up in a position map of the
+// destination candidates. The result is identical to Build's for any
+// worker count — each pass marks serially, probes in order-preserving
+// chunks, and the barrier between passes keeps the level order of
+// Algorithm 1.
 func BuildWorkers(q *graph.Query, g *graph.Graph, t *order.Tree, workers int) *CST {
 	if workers < 1 {
 		workers = 1
@@ -143,9 +144,13 @@ func BuildWorkers(q *graph.Query, g *graph.Graph, t *order.Tree, workers int) *C
 	for _, cands := range c.Cand {
 		c.sizeBytes += int64(len(cands)) * 4
 	}
+	// The filter passes are done with the stamps, so their array becomes
+	// the adjacency pass's position map: one O(|V(G)|) scratch per build.
+	pos := stamp
+	clear(pos)
 	asm := newAdjAssembler(offTotal, nil, len(dir))
 	for _, e := range dir {
-		c.buildAdjInto(g, e[0], e[1], &asm)
+		c.buildAdjInto(g, e[0], e[1], pos, &asm)
 	}
 	asm.finish(c)
 	return c
@@ -248,16 +253,23 @@ func localCandidates(q *graph.Query, g *graph.Graph, u graph.QueryVertex) []grap
 	return out
 }
 
-// buildAdjInto fills the from → to adjacency by intersecting each
-// from-candidate's label-restricted data adjacency (the run of neighbours
-// labelled like `to`, a zero-copy subslice of the label index) with C(to).
-// Both inputs are sorted, so a merge intersection costs
-// O(d^label_G(v) + |C(to)|) per candidate. When the query edge carries a
-// label, only data edges with a matching half-edge label survive — the
-// edge-labeled extension of Section II. Rows land in the assembler's shared
-// arenas; the view is installed at finish time.
-func (c *CST) buildAdjInto(g *graph.Graph, from, to graph.QueryVertex, asm *adjAssembler) {
+// buildAdjInto fills the from → to adjacency. It maps C(to) into pos
+// (pos[v] = 1 + v's index in C(to), 0 for every other data vertex), walks
+// each from-candidate's neighbours labelled like `to` (a zero-copy run of
+// the label index) and keeps those with a position, emitting their C(to)
+// indices. The edge costs O(|C(to)| + Σ d^label_G(v) over C(from)): linear
+// in the data edges it touches, as in Algorithm 1's lines 15-19. Label runs
+// are strictly ascending by id and C(to) is sorted, so each row comes out
+// ascending and duplicate-free. When the query edge carries a label, only
+// data edges whose half-edge labels match both directions survive — the
+// edge-labeled extension of Section II. pos is all zero again on return.
+// Rows land in the assembler's shared arenas; the view is installed at
+// finish time.
+func (c *CST) buildAdjInto(g *graph.Graph, from, to graph.QueryVertex, pos []uint32, asm *adjAssembler) {
 	src, dst := c.Cand[from], c.Cand[to]
+	for j, w := range dst {
+		pos[w] = uint32(j) + 1
+	}
 	lt := c.Query.Label(to)
 	want := c.Query.EdgeLabel(from, to)
 	wantRev := c.Query.EdgeLabel(to, from)
@@ -267,34 +279,31 @@ func (c *CST) buildAdjInto(g *graph.Graph, from, to graph.QueryVertex, asm *adjA
 	for i, v := range src {
 		rowLo := len(asm.tgt)
 		adj, elabels := g.NeighborsWithLabelAndEdgeLabels(v, lt)
-		// Merge-intersect adj (sorted vertex ids within the label run) with
-		// dst (sorted ids, all labelled lt), emitting dst *indices*.
-		ai, di := 0, 0
-		for ai < len(adj) && di < len(dst) {
-			switch {
-			case adj[ai] < dst[di]:
-				ai++
-			case adj[ai] > dst[di]:
-				di++
-			default:
-				// Both half-edge labels must match so that enumerating via
-				// either direction of this adjacency enforces the full
-				// (possibly direction-encoded) constraint.
-				ok := want == graph.WildcardEdgeLabel || elabels == nil || elabels[ai] == want
-				if ok && wantRev != graph.WildcardEdgeLabel && elabels != nil {
-					ok = g.HasEdgeLabeled(adj[ai], v, wantRev)
-				}
-				if ok {
-					asm.tgt = append(asm.tgt, CandIndex(di))
-				}
-				ai++
-				di++
+		for k, w := range adj {
+			p := pos[w]
+			if p == 0 {
+				continue
 			}
+			// Both half-edge labels must match so that enumerating via
+			// either direction of this adjacency enforces the full
+			// (possibly direction-encoded) constraint.
+			if elabels != nil {
+				if want != graph.WildcardEdgeLabel && elabels[k] != want {
+					continue
+				}
+				if wantRev != graph.WildcardEdgeLabel && !g.HasEdgeLabeled(w, v, wantRev) {
+					continue
+				}
+			}
+			asm.tgt = append(asm.tgt, CandIndex(p-1))
 		}
 		off[i+1] = int32(len(asm.tgt) - tgtLo)
 		if d := int32(len(asm.tgt) - rowLo); d > maxDeg {
 			maxDeg = d
 		}
+	}
+	for _, w := range dst {
+		pos[w] = 0
 	}
 	asm.commit(from, to, len(src), tgtLo, maxDeg)
 }

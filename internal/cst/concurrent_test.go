@@ -4,7 +4,27 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"fastmatch/internal/order"
+	"fastmatch/ldbc"
 )
+
+// ldbcCST builds the CST and path order for one benchmark query over a
+// small LDBC-like graph, plus a partition config tight enough to force a
+// real multi-partition workload.
+func ldbcCST(t *testing.T, name string) (*CST, order.Order, PartitionConfig) {
+	t.Helper()
+	g := ldbc.Generate(ldbc.Config{ScaleFactor: 1, BasePersons: 120, Seed: 7})
+	q, err := ldbc.QueryByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := order.BuildBFSTree(q, order.SelectRoot(q, g))
+	c := Build(q, g, tr)
+	o := order.PathBased(tr, c)
+	cfg := PartitionConfig{MaxSizeBytes: c.SizeBytes()/6 + 64, MaxCandDegree: 16}
+	return c, o, cfg
+}
 
 // TestPartitionConcurrentMatchesSequentialLDBC is the PR's acceptance gate:
 // for every LDBC benchmark query, the concurrent producer — every pool size,

@@ -62,8 +62,8 @@ func TestEnumeratorRunCounted(t *testing.T) {
 }
 
 // TestEnumeratorPooledConcurrentPartition: pooled enumerators draining a
-// concurrent partition stream (the EnumerateParallel shape) must agree with
-// the sequential count. Run under -race this covers prepared-Enumerator
+// concurrent partition stream (PartitionConcurrent's unordered mode) must
+// agree with the sequential count. Run under -race this covers prepared-Enumerator
 // reuse while the partitioner is still producing pieces on other goroutines.
 func TestEnumeratorPooledConcurrentPartition(t *testing.T) {
 	c, o, cfg := ldbcCST(t, "q5")

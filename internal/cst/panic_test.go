@@ -26,9 +26,9 @@ func runWithPanicGuard(t *testing.T, timeout time.Duration, fn func()) any {
 }
 
 // TestWorkerPanicRethrownUnordered: a panic in a process callback delivered
-// on an unordered pool worker (the path EnumerateParallel's per-piece
-// enumeration runs on) must not kill the worker goroutine — before the
-// worker recover barrier it crashed the whole process. The pool records the
+// on an unordered pool worker (PartitionConcurrent's unordered mode) must
+// not kill the worker goroutine — before the worker recover barrier it
+// crashed the whole process. The pool records the
 // panic, drains the remaining tasks like a cancellation, and re-throws it
 // on the caller's goroutine as a *WorkerPanic carrying the original value.
 func TestWorkerPanicRethrownUnordered(t *testing.T) {
